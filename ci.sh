@@ -66,10 +66,11 @@ echo "==> independence oracle (128 seeds: B002-B004 effect analysis, traced)"
 # Certifies one random batch pair per seed under all seven strategies
 # (B003), commits certified-independent pairs in both orders asserting
 # byte-identical final databases, shadow-tracked footprint containment
-# (B002), snapshot-safety of read-disjoint plans (B004), and
-# scheduler/serial agreement; grades certified-conflicting pairs for
-# genuine dynamic witnesses. The trace carries the new `effect` spans,
-# shape-validated against the perfgate vocabulary.
+# (B002, through `apply_verified` in this release build), and
+# snapshot-safety of read-disjoint plans (B004); grades
+# certified-conflicting pairs for genuine dynamic witnesses. The trace
+# carries the `effect` spans of those tracked applies, shape-validated
+# against the perfgate vocabulary.
 cargo run -q --release -p colorist-workload --bin colorist-oracle -- \
     --independence-seeds 128 --trace results/trace_independence_ci.json
 cargo run -q --release -p colorist-bench --bin colorist-perfgate -- \

@@ -211,7 +211,7 @@ fn run_cell(
     let (mut reads, mut writes) = (0u64, 0u64);
     let wall_start = Instant::now();
     for round in 0..cfg.rounds {
-        // write burst: admission-batched, group-committed by the flush
+        // write burst: admission-batched, committed in admission order by the flush
         let pending: Vec<_> = (0..cfg.writes_per_round)
             .map(|k| {
                 let ordinal = (round * cfg.writes_per_round + k) % customers;

@@ -166,7 +166,6 @@ const SPAN_COUNTERS: [(&str, &[&str]); 8] = [
             "plan_cache_misses",
             "plan_cache_evictions",
             "admitted",
-            "groups",
         ],
     ),
 ];

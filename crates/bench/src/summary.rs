@@ -34,7 +34,7 @@ use std::time::Duration;
 /// `colorist-perfgate --validate-trace` now whitelists; the summary
 /// fields themselves are unchanged; 6 — the trace vocabulary gains the
 /// `effect` span category with its `effect_keys` counter (emitted by the
-/// static batch effect analysis inside `UpdateBatch::apply`); the summary
+/// static batch effect analysis on B002-tracked applies); the summary
 /// fields themselves are again unchanged; 7 — the pluggable paged storage
 /// backend: run metadata gains `backend` (`"mem"`, `"paged"` or
 /// `"paged-mem"`) and `pool_bytes` (the buffer-pool byte budget, 0 on the
@@ -48,8 +48,8 @@ use std::time::Duration;
 /// consulting the cache) and the machine-dependent `queue_wait_ns`
 /// (submission-queue wait, 0 outside the server), and the trace
 /// vocabulary gains the `server` span category (read/admit/commit spans
-/// carrying `queue_wait_ns`, the three `plan_cache_*` counters,
-/// `admitted`, and `groups`). `colorist-scale` emits a sibling
+/// carrying `queue_wait_ns`, the three `plan_cache_*` counters, and
+/// `admitted`). `colorist-scale` emits a sibling
 /// `BENCH_scale.json` document (schema documented in EXPERIMENTS.md)
 /// that the perfgate diffs with `--scale`.
 pub const SCHEMA_VERSION: u64 = 8;

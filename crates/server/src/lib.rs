@@ -16,17 +16,17 @@
 //!   hit thereafter, re-optimize after any statistics-catalog
 //!   maintenance (the epoch shifts the key — stale plans are never
 //!   served).
-//! * **Writes** flow through *admission batching* into the
-//!   commutativity-certified group commit of DESIGN.md §13: each write
-//!   gets a global admission sequence number when it enters the queue;
-//!   a commit cycle drains the contiguous admitted prefix **in sequence
-//!   order** into a [`CommitScheduler`], which partitions it into
-//!   independence classes and commits each class under one epoch bump.
-//!   Draining in admission order makes the final database state equal
-//!   the serial application of all writes in admission order — for any
-//!   worker count — because distinct classes are certified to commute
-//!   and conflicting writes stay in one class in admission order. The
-//!   torture tests in `tests/server.rs` pin exactly this.
+//! * **Writes** flow through *admission batching* into one serial
+//!   commit path: each write gets a global admission sequence number
+//!   when it enters the queue; a commit cycle drains the contiguous
+//!   admitted prefix and applies it **in sequence order** onto the live
+//!   database, one [`UpdateBatch::apply`] per write, then republishes
+//!   the read view once. Each batch stages on its own clone, so a
+//!   rejected batch gets its own verdict and leaves the batches before
+//!   it committed. The final database state — epoch included — is
+//!   therefore the serial application of all writes in admission order
+//!   for any worker count; the torture tests in `tests/server.rs` pin
+//!   exactly this.
 //! * **Metrics** aggregate per worker and are summed on collection
 //!   ([`Server::metrics`]): each request charges exactly one worker
 //!   once, so every deterministic counter family stays exact under any
@@ -42,7 +42,7 @@
 use colorist_er::ErGraph;
 use colorist_query::{execute_snapshot, optimize_cached, Pattern, PlanCache, QueryError};
 use colorist_store::{
-    BatchError, BatchReceipt, CommitScheduler, Database, ElementId, Metrics, Snapshot, UpdateBatch,
+    BatchError, BatchReceipt, Database, ElementId, Metrics, Snapshot, UpdateBatch,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -58,22 +58,13 @@ pub struct ServerConfig {
     /// Worker threads. Thread-per-core is [`ServerConfig::per_core`];
     /// the default is 1 (fully deterministic scheduling).
     pub workers: usize,
-    /// Admission threshold: a commit cycle starts as soon as this many
-    /// writes are pending (a [`Client::flush`] commits everything
-    /// regardless). Larger values give the certifier more batches to
-    /// group under one epoch bump.
-    pub admit_max: usize,
     /// Total prepared-plan cache capacity, in plans.
     pub plan_cache_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 1,
-            admit_max: 32,
-            plan_cache_capacity: colorist_query::cache::DEFAULT_CAPACITY,
-        }
+        ServerConfig { workers: 1, plan_cache_capacity: colorist_query::cache::DEFAULT_CAPACITY }
     }
 }
 
@@ -90,6 +81,11 @@ impl ServerConfig {
         self
     }
 }
+
+/// Admission threshold: a commit cycle starts as soon as this many
+/// writes are pending (a [`Client::flush`] commits everything
+/// regardless).
+const ADMIT_MAX: usize = 32;
 
 /// What can go wrong serving a request.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,14 +137,12 @@ pub struct ReadReply {
 /// Receipt of one committed write request.
 #[derive(Debug, Clone)]
 pub struct WriteReply {
-    /// The batch's own receipt (epoch rewritten to the group's commit
-    /// epoch when it group-committed).
+    /// The batch's own receipt.
     pub receipt: BatchReceipt,
-    /// Epoch the write's independence class committed under.
+    /// The batch's commit epoch: the database epoch right after it
+    /// applied, equal to `receipt.epoch`. The read view republished at
+    /// the end of the commit cycle is at this epoch or later.
     pub group_epoch: u64,
-    /// Batches in the independence class this write committed with (1 =
-    /// it shared its epoch bump with nobody).
-    pub group_size: usize,
     /// Per-request metrics: `queue_wait_ns` plus the receipt's
     /// `pages_written` as `page_writes`.
     pub metrics: Metrics,
@@ -270,7 +264,6 @@ struct Shared {
     /// Serializes drain+commit cycles so contiguous prefixes commit in
     /// admission order even when several workers race to commit.
     commit_gate: Mutex<()>,
-    admit_max: usize,
     worker_metrics: Vec<Mutex<Metrics>>,
 }
 
@@ -303,7 +296,6 @@ impl Server {
             admission: Mutex::new(Admission { pending: BTreeMap::new(), next_commit: 0 }),
             admission_cv: Condvar::new(),
             commit_gate: Mutex::new(()),
-            admit_max: config.admit_max.max(1),
             worker_metrics: (0..workers).map(|_| Mutex::new(Metrics::default())).collect(),
         });
         let handles = (0..workers)
@@ -372,7 +364,7 @@ impl Server {
         }
         // A write submitted after the internal flush barrier captured its
         // `upto` but popped and admitted by a worker before it observed
-        // the stop flag sits in the admission buffer below `admit_max`
+        // the stop flag sits in the admission buffer below `ADMIT_MAX`
         // with nobody left to commit it. Drain and commit the stragglers
         // (BTreeMap order = admission order) so their clients unblock
         // with real receipts and the returned database contains every
@@ -412,8 +404,8 @@ impl Client {
     }
 
     /// Submit a write batch; it is admitted in submission order and
-    /// group-committed with whatever certified-independent writes share
-    /// its commit cycle.
+    /// committed serially, in that order, with the other writes its
+    /// commit cycle drains.
     pub fn write(&self, batch: UpdateBatch) -> Pending<Result<WriteReply, ServerError>> {
         let (pending, ticket) = Pending::new();
         let mut q = self.shared.queue.lock().expect("queue lock");
@@ -550,7 +542,7 @@ fn commit_cycle(shared: &Shared, worker: usize, barrier: Option<u64>) -> u64 {
                 // active, or the admission threshold is reached): drain
                 // the whole contiguous prefix
                 let due = adm.pending.contains_key(&adm.next_commit)
-                    && (barrier.is_some() || adm.pending.len() >= shared.admit_max);
+                    && (barrier.is_some() || adm.pending.len() >= ADMIT_MAX);
                 if due {
                     let mut v = Vec::new();
                     loop {
@@ -582,97 +574,35 @@ fn commit_cycle(shared: &Shared, worker: usize, barrier: Option<u64>) -> u64 {
     }
 }
 
-/// Group-commit one drained admission prefix: certify independence,
-/// commit each class under one epoch bump, republish the read view, and
-/// fulfill the write tickets. If certification-ordered application fails
-/// validation, fall back to committing each batch serially in admission
-/// order (per-batch atomicity, per-batch verdicts) — the final state is
-/// the serial-order state either way.
+/// Commit one drained admission prefix: apply each batch onto the live
+/// database in admission order, republish the read view once, then
+/// fulfill the write tickets. `UpdateBatch::apply` stages every batch on
+/// its own clone, so a rejected batch leaves the database exactly as the
+/// batches before it left it and gets its own verdict.
 fn commit_group(shared: &Shared, worker: usize, drained: Vec<PendingWrite>) {
     let mut span = colorist_trace::span("server", "commit");
     span.counter("admitted", drained.len() as u64);
-    let mut sched = CommitScheduler::new();
-    let mut tickets = Vec::with_capacity(drained.len());
-    for w in drained {
-        sched.stage(*w.batch);
-        tickets.push(Some((w.ticket, w.queue_wait_ns)));
-    }
     let mut db = shared.db.lock().expect("db lock");
-    // Commit against a trial clone and install it only on full success.
-    // `CommitScheduler::commit` installs independence classes one at a
-    // time, so an error on a later class leaves earlier classes applied;
-    // the serial fallback must start from the pre-group state or batches
-    // in already-committed classes would apply twice.
-    let mut trial = db.clone();
-    match sched.commit(&mut trial, &shared.graph) {
-        Ok(groups) => {
-            *db = trial;
-            publish(shared, &db);
-            drop(db);
-            span.counter("groups", groups.len() as u64);
-            for g in &groups {
-                for (&member, receipt) in g.members.iter().zip(&g.receipts) {
-                    let (ticket, queue_wait_ns) =
-                        tickets[member].take().expect("one receipt per stage");
-                    let metrics = Metrics {
-                        queue_wait_ns,
-                        page_writes: receipt.pages_written,
-                        ..Metrics::default()
-                    };
-                    charge(shared, worker, metrics);
-                    ticket.fulfill(Ok(WriteReply {
-                        receipt: receipt.clone(),
-                        group_epoch: g.epoch,
-                        group_size: g.members.len(),
-                        metrics,
-                    }));
-                }
-            }
-        }
-        Err(_) => {
-            // some batch fails validation *somewhere* in the certified
-            // order: drop the trial state and degrade to serial
-            // admission-order commits against the untouched database so
-            // every batch gets an individual verdict
-            drop(trial);
-            let mut verdicts = Vec::with_capacity(tickets.len());
-            for (i, slot) in tickets.iter_mut().enumerate() {
-                let (ticket, queue_wait_ns) = slot.take().expect("unfulfilled");
-                verdicts.push((
-                    ticket,
-                    queue_wait_ns,
-                    sched.batches()[i].apply(&mut db, &shared.graph),
-                ));
-            }
-            // republish before fulfilling, mirroring the Ok arm, so a
-            // client whose write succeeded can never read a snapshot
-            // that predates its own commit
-            publish(shared, &db);
-            drop(db);
-            for (ticket, queue_wait_ns, verdict) in verdicts {
-                match verdict {
-                    Ok(receipt) => {
-                        let metrics = Metrics {
-                            queue_wait_ns,
-                            page_writes: receipt.pages_written,
-                            ..Metrics::default()
-                        };
-                        charge(shared, worker, metrics);
-                        let group_epoch = receipt.epoch;
-                        ticket.fulfill(Ok(WriteReply {
-                            receipt,
-                            group_epoch,
-                            group_size: 1,
-                            metrics,
-                        }));
-                    }
-                    Err(e) => {
-                        charge(shared, worker, Metrics { queue_wait_ns, ..Metrics::default() });
-                        ticket.fulfill(Err(ServerError::Batch(e)));
-                    }
-                }
-            }
-        }
+    let verdicts: Vec<_> = drained
+        .into_iter()
+        .map(|w| {
+            let verdict = w.batch.apply(&mut db, &shared.graph);
+            (w.ticket, w.queue_wait_ns, verdict)
+        })
+        .collect();
+    // republish before fulfilling, so a client whose write succeeded can
+    // never read a snapshot that predates its own commit
+    publish(shared, &db);
+    drop(db);
+    for (ticket, queue_wait_ns, verdict) in verdicts {
+        let page_writes = verdict.as_ref().map_or(0, |r| r.pages_written);
+        let metrics = Metrics { queue_wait_ns, page_writes, ..Metrics::default() };
+        charge(shared, worker, metrics);
+        ticket.fulfill(
+            verdict
+                .map(|receipt| WriteReply { group_epoch: receipt.epoch, receipt, metrics })
+                .map_err(ServerError::Batch),
+        );
     }
 }
 
@@ -762,23 +692,24 @@ mod tests {
         assert!(flush.epoch > 0, "commits bump the published epoch");
         for p in pendings {
             let w = p.wait().expect("write commits");
-            assert!(w.group_size >= 1);
+            assert_eq!(w.group_epoch, w.receipt.epoch);
         }
         assert_eq!(server.published_epoch(), flush.epoch);
         let final_db = server.shutdown();
-        assert!(
-            final_db.same_state(&serial, false).is_ok(),
-            "admission-ordered group commit lands on the serial state"
+        assert_eq!(
+            final_db.same_state(&serial, true),
+            Ok(()),
+            "admission-ordered commit lands on the serial state, epoch included"
         );
     }
 
-    /// Regression: when a later independence class fails validation, the
-    /// scheduler has already committed earlier classes — the serial
-    /// fallback must start from the pre-group state, not re-apply them.
-    /// Deletes are non-idempotent, so a double-apply flips the valid
-    /// batch's verdict to `Deleted` even though its delete committed.
+    /// A valid and a rejected batch drained in one commit cycle: the
+    /// valid delete commits exactly once and keeps its `Ok` verdict, the
+    /// rejected one gets its own verdict and changes nothing. Deletes are
+    /// non-idempotent, so a double-apply would flip the valid batch's
+    /// verdict to `Deleted`.
     #[test]
-    fn failed_batch_in_group_falls_back_without_double_applying() {
+    fn rejected_batch_in_a_cycle_gets_its_own_verdict_without_double_applying() {
         let (g, mut db) = build(Strategy::Af);
         let item = by_name(&g, "item");
         let doomed = db.canonical_by_ordinal(item, 5).expect("instance");
@@ -797,9 +728,8 @@ mod tests {
         }
         let server = Server::start(db, &g, &ServerConfig::default());
         let c = server.client();
-        // both drain in one commit cycle: the valid delete's class
-        // commits first, then the already-deleted delete (empty
-        // footprint -> its own later class) fails validation
+        // both drain in one commit cycle: the valid delete commits
+        // first, then the already-deleted delete fails validation
         let mut ok_batch = UpdateBatch::new();
         ok_batch.delete(victim);
         let mut bad_batch = UpdateBatch::new();
@@ -813,9 +743,10 @@ mod tests {
             other => panic!("expected Deleted verdict, got {other:?}"),
         }
         let final_db = server.shutdown();
-        assert!(
-            final_db.same_state(&serial, false).is_ok(),
-            "fallback state must equal serial application of the valid batch"
+        assert_eq!(
+            final_db.same_state(&serial, true),
+            Ok(()),
+            "final state must equal serial application of the valid batch"
         );
     }
 
@@ -859,7 +790,7 @@ mod tests {
                     Err(err) => assert_eq!(err, ServerError::Stopped),
                 }
             }
-            final_db.same_state(&reference, false).unwrap_or_else(|m| {
+            final_db.same_state(&reference, true).unwrap_or_else(|m| {
                 panic!("round {round}: state diverges from acknowledged writes: {m}")
             });
         }

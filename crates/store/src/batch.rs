@@ -27,7 +27,7 @@ use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::{ColorId, PlacementId};
 
 use crate::database::{Database, ElementId, OccId};
-use crate::effect::{self, shadow, EffectAnalysis, FootprintSummary, TouchedSet};
+use crate::effect::{self, shadow, EffectAnalysis, TouchedSet};
 use crate::value::Value;
 
 /// Where a newly inserted element (or a new occurrence of an existing one)
@@ -210,10 +210,6 @@ pub struct BatchReceipt {
     /// Pages written by the paged storage backend's commit transaction
     /// (0 on the heap backend, and for batches that dirtied nothing).
     pub pages_written: u64,
-    /// Key counts per derived structure from the batch's static effect
-    /// footprint (computed by [`crate::effect::analyze_batch`] before the
-    /// commit; deterministic for a given batch and pre-state).
-    pub footprint: FootprintSummary,
 }
 
 /// A validated-then-atomic collection of update operations.
@@ -389,8 +385,8 @@ impl UpdateBatch {
     ///
     /// [`Snapshot`]: crate::database::Snapshot
     pub fn apply(&self, db: &mut Database, graph: &ErGraph) -> Result<BatchReceipt, BatchError> {
-        let (receipt, analysis, touched) = self.apply_inner(db, graph, cfg!(debug_assertions))?;
-        if let Some(touched) = touched {
+        let (receipt, tracked) = self.apply_inner(db, graph, cfg!(debug_assertions))?;
+        if let Some((analysis, touched)) = tracked {
             // B002 — footprint soundness, asserted on every debug-build
             // commit: what the shadow tracker saw the mutators touch must
             // be contained in the static footprint
@@ -412,28 +408,30 @@ impl UpdateBatch {
         db: &mut Database,
         graph: &ErGraph,
     ) -> Result<(BatchReceipt, EffectAnalysis, TouchedSet), BatchError> {
-        let (receipt, analysis, touched) = self.apply_inner(db, graph, true)?;
-        Ok((receipt, analysis, touched.unwrap_or_default()))
+        let (receipt, tracked) = self.apply_inner(db, graph, true)?;
+        let (analysis, touched) = tracked.expect("tracked apply returns its analysis");
+        Ok((receipt, analysis, touched))
     }
 
+    /// Validate and commit; with `track` on, also run the static effect
+    /// analysis against the pre-batch state and shadow-track the commit,
+    /// returning both for the B002 containment check.
     fn apply_inner(
         &self,
         db: &mut Database,
         graph: &ErGraph,
         track: bool,
-    ) -> Result<(BatchReceipt, EffectAnalysis, Option<TouchedSet>), BatchError> {
+    ) -> Result<(BatchReceipt, Option<(EffectAnalysis, TouchedSet)>), BatchError> {
         let mut span = colorist_trace::span("batch", "apply");
         span.counter("batch_ops", self.ops.len() as u64);
         self.validate(db, graph)?;
 
-        // static effect analysis against the pre-batch state — always
-        // computed, so the receipt's footprint summary is deterministic
-        let analysis = {
+        let analysis = track.then(|| {
             let mut espan = colorist_trace::span("effect", "analyze");
             let analysis = effect::analyze_batch(self, db, graph);
             espan.counter("effect_keys", analysis.footprint.summary().effect_keys());
             analysis
-        };
+        });
         if track {
             shadow::start();
         }
@@ -449,7 +447,6 @@ impl UpdateBatch {
             occurrences_removed: 0,
             epoch: 0,
             pages_written: 0,
-            footprint: analysis.footprint.summary(),
         };
 
         // copies per canonical element, for duplicate maintenance
@@ -531,7 +528,7 @@ impl UpdateBatch {
             }
         }
 
-        let touched = track.then(shadow::stop);
+        let tracked = analysis.map(|analysis| (analysis, shadow::stop()));
         debug_assert_eq!(staged.check_integrity(), Ok(()));
         receipt.epoch = staged.epoch();
         // write the batch's dirty segments through the paged backend as one
@@ -546,7 +543,7 @@ impl UpdateBatch {
         // the commit point: readers that cloned the Arcs earlier keep the
         // pre-batch version, everyone after sees the whole batch
         *db = staged;
-        Ok((receipt, analysis, touched))
+        Ok((receipt, tracked))
     }
 
     /// Resolve `e` to its live canonical instance.

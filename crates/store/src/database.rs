@@ -919,12 +919,6 @@ impl Database {
         Ok(())
     }
 
-    /// Overwrite the epoch counter. Crate-internal: the commit scheduler
-    /// normalizes a group-committed class to one epoch bump.
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
     /// Whether the link table holds a cell for `(edge, rel_ordinal)` —
     /// live **or** already killed. The static effect analysis needs this
     /// distinction ([`Database::link`] conflates dead and absent):

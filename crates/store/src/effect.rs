@@ -1,6 +1,5 @@
-//! Static batch effect analysis (DESIGN.md §13): footprints,
-//! commutativity certificates, and the independence-scheduled group
-//! commit.
+//! Static batch effect analysis (DESIGN.md §13): footprints and
+//! commutativity certificates.
 //!
 //! [`analyze_batch`] is an abstract interpretation of an
 //! [`UpdateBatch`] program against the pre-batch [`Database`]: without
@@ -36,16 +35,11 @@
 //!   [`ReadFootprint`] (computed by the query layer from the verifier's
 //!   per-register lattice) is disjoint from the batch's write surface.
 //!
-//! On top sits the first consumer, [`CommitScheduler`]: stage several
-//! batches, partition them into independence classes via the pairwise
-//! certificates, and group-commit each class under **one** epoch bump —
-//! the static-analysis foundation for multi-writer scaling (ROADMAP
-//! item 2). Pairwise independence extends to classes because every
-//! cross-batch interaction that could widen a batch's footprint mid-run
-//! (an added copy fanning out another batch's write, a new link killed
-//! by another batch's delete, an occurrence added to a color another
-//! batch relabels) is itself a certified conflict, so it keeps the
-//! interacting batches inside one class.
+//! The analysis is a checking tool, not part of the release write path:
+//! `UpdateBatch::apply` runs it only when B002 tracking is on (debug
+//! builds and `apply_verified`). Its consumers are `colorist-lint
+//! --batch`, the oracle's `--independence-seeds` sweep, and the service
+//! benchmark's per-layer timing.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -53,7 +47,7 @@ use std::fmt;
 use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::ColorId;
 
-use crate::batch::{BatchError, BatchOp, BatchReceipt, UpdateBatch};
+use crate::batch::{BatchOp, UpdateBatch};
 use crate::database::{Database, ElementId};
 use crate::value::Value;
 
@@ -874,158 +868,6 @@ pub fn certify(a: &Footprint, b: &Footprint) -> Certificate {
     Certificate::Independent
 }
 
-/// A staged multi-batch commit plan: per-batch footprints, the pairwise
-/// certificates, and the independence classes they induce.
-#[derive(Debug, Clone)]
-pub struct CommitPlan {
-    /// Footprint per staged batch, in stage order.
-    pub footprints: Vec<Footprint>,
-    /// One certificate per unordered pair `(i, j)`, `i < j`.
-    pub certificates: Vec<(usize, usize, Certificate)>,
-    /// Independence classes: connected components of the conflict
-    /// graph, each sorted by stage order; classes ordered by their
-    /// earliest member. Distinct classes are mutually independent.
-    pub classes: Vec<Vec<usize>>,
-}
-
-/// Receipt of one group-committed independence class.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupReceipt {
-    /// Stage indices of the class's batches, in commit order.
-    pub members: Vec<usize>,
-    /// Per-batch receipts (epochs rewritten to the group's commit
-    /// epoch).
-    pub receipts: Vec<BatchReceipt>,
-    /// The single epoch the class committed under.
-    pub epoch: u64,
-}
-
-/// The first consumer of the certificates: stage several batches,
-/// partition them into independence classes, and group-commit each
-/// class under **one** epoch bump, so a class of mutually conflicting
-/// batches is one version step and independent classes never pay for
-/// each other's ordering.
-///
-/// Within a class, batches apply sequentially in stage order (they
-/// conflict — order is semantics). A batch that fails validation
-/// aborts its class atomically: the class's staged clone is dropped,
-/// previously committed classes remain, and the error is returned with
-/// the failing stage index.
-#[derive(Debug, Clone, Default)]
-pub struct CommitScheduler {
-    batches: Vec<UpdateBatch>,
-}
-
-impl CommitScheduler {
-    /// An empty scheduler.
-    pub fn new() -> Self {
-        CommitScheduler::default()
-    }
-
-    /// Stage a batch; returns its stage index.
-    pub fn stage(&mut self, batch: UpdateBatch) -> usize {
-        self.batches.push(batch);
-        self.batches.len() - 1
-    }
-
-    /// Number of staged batches.
-    pub fn len(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
-    }
-
-    /// The staged batches, in stage order.
-    pub fn batches(&self) -> &[UpdateBatch] {
-        &self.batches
-    }
-
-    /// Analyze every staged batch against `db` and partition them into
-    /// independence classes via the pairwise certificates.
-    pub fn plan(&self, db: &Database, graph: &ErGraph) -> CommitPlan {
-        let footprints: Vec<Footprint> =
-            self.batches.iter().map(|b| analyze_batch(b, db, graph).footprint).collect();
-        let n = footprints.len();
-        let mut certificates = Vec::new();
-        // union-find over the conflict graph
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let r = find(parent, parent[i]);
-                parent[i] = r;
-            }
-            parent[i]
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                let cert = certify(&footprints[i], &footprints[j]);
-                if !cert.is_independent() {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[ri.max(rj)] = ri.min(rj);
-                }
-                certificates.push((i, j, cert));
-            }
-        }
-        let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for i in 0..n {
-            let r = find(&mut parent, i);
-            by_root.entry(r).or_default().push(i);
-        }
-        CommitPlan { footprints, certificates, classes: by_root.into_values().collect() }
-    }
-
-    /// Group-commit every staged batch: one epoch bump per independence
-    /// class. On error the failing class is rolled back whole (classes
-    /// committed before it remain) and the failing stage index is
-    /// returned with the batch error.
-    pub fn commit(
-        &self,
-        db: &mut Database,
-        graph: &ErGraph,
-    ) -> Result<Vec<GroupReceipt>, (usize, BatchError)> {
-        let plan = self.plan(db, graph);
-        let mut groups = Vec::with_capacity(plan.classes.len());
-        for class in &plan.classes {
-            let mut staged = db.clone();
-            let mut receipts = Vec::with_capacity(class.len());
-            for &i in class {
-                match self.batches[i].apply(&mut staged, graph) {
-                    Ok(r) => receipts.push(r),
-                    Err(e) => return Err((i, e)),
-                }
-            }
-            let epoch = db.epoch() + 1;
-            staged.set_epoch(epoch);
-            for r in &mut receipts {
-                r.epoch = epoch;
-            }
-            *db = staged;
-            groups.push(GroupReceipt { members: class.clone(), receipts, epoch });
-        }
-        Ok(groups)
-    }
-
-    /// The admission hook for long-lived users (the query service's
-    /// write path, DESIGN.md §15): group-commit everything currently
-    /// staged, then clear the scheduler so the next admission window
-    /// starts empty. Equivalent to [`CommitScheduler::commit`] followed
-    /// by dropping the scheduler, but reuses the allocation. On error
-    /// the staged batches are **kept** (the failing stage index refers
-    /// to them), so the caller can inspect, drop, or re-stage.
-    pub fn drain_commit(
-        &mut self,
-        db: &mut Database,
-        graph: &ErGraph,
-    ) -> Result<Vec<GroupReceipt>, (usize, BatchError)> {
-        let groups = self.commit(db, graph)?;
-        self.batches.clear();
-        Ok(groups)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,9 +930,7 @@ mod tests {
         // B002: dynamic ⊆ static
         assert_eq!(analysis2.footprint.covers(&touched), Ok(()));
         assert_eq!(analysis.footprint, analysis2.footprint);
-        // the receipt digest matches the analysis and counts something
-        assert_eq!(receipt.footprint, analysis.footprint.summary());
-        assert!(receipt.footprint.effect_keys() > 0);
+        assert!(analysis.footprint.summary().effect_keys() > 0);
         // the predicted insert id is the one the commit allocated
         assert!(analysis.footprint.allocated.contains(&receipt.inserted[0]));
         assert_eq!(db.check_integrity(), Ok(()));
@@ -1226,80 +1066,5 @@ mod tests {
         let mut reads2 = ReadFootprint::default();
         reads2.nodes.insert(b);
         assert_eq!(fy.invalidates(&reads2), Some(EffectKey::Extent(b)));
-    }
-
-    #[test]
-    fn scheduler_partitions_classes_and_bumps_once_per_class() {
-        let (g, mut db) = tiny();
-        let b = g.node_by_name("b").unwrap();
-        let eb0 = db.extent(b)[0];
-        let eb1 = db.extent(b)[1];
-        let mut s = CommitScheduler::new();
-        let mut x = UpdateBatch::new();
-        x.write_attr(eb0, 0, Value::Int(1));
-        s.stage(x);
-        let mut y = UpdateBatch::new();
-        y.write_attr(eb0, 1, Value::Int(2)); // same instance? no — same cell? no.
-        s.stage(y);
-        let mut z = UpdateBatch::new();
-        z.write_attr(eb1, 0, Value::Int(3));
-        s.stage(z);
-        let plan = s.plan(&db, &g);
-        // batches 0 and 1 share the posting surface of eb0? they write
-        // different attrs of the same instance — disjoint cells, disjoint
-        // postings, so all three are mutually independent
-        assert_eq!(plan.classes, vec![vec![0], vec![1], vec![2]]);
-        assert!(plan.certificates.iter().all(|(_, _, c)| c.is_independent()));
-        let epoch0 = db.epoch();
-        let groups = s.commit(&mut db, &g).expect("all valid");
-        assert_eq!(groups.len(), 3);
-        for (k, gr) in groups.iter().enumerate() {
-            assert_eq!(gr.epoch, epoch0 + 1 + k as u64);
-            assert!(gr.receipts.iter().all(|r| r.epoch == gr.epoch));
-        }
-        assert_eq!(db.epoch(), epoch0 + 3);
-        assert_eq!(db.element(eb0).attrs[0], Value::Int(1));
-        assert_eq!(db.element(eb0).attrs[1], Value::Int(2));
-        assert_eq!(db.element(eb1).attrs[0], Value::Int(3));
-        assert_eq!(db.check_integrity(), Ok(()));
-
-        // conflicting batches fuse into one class under one epoch bump
-        let mut s2 = CommitScheduler::new();
-        let mut p = UpdateBatch::new();
-        p.write_attr(eb0, 0, Value::Int(7));
-        s2.stage(p);
-        let mut q = UpdateBatch::new();
-        q.write_attr(eb0, 0, Value::Int(8));
-        s2.stage(q);
-        let plan2 = s2.plan(&db, &g);
-        assert_eq!(plan2.classes, vec![vec![0, 1]]);
-        let epoch1 = db.epoch();
-        let groups2 = s2.commit(&mut db, &g).expect("sequential within class");
-        assert_eq!(groups2.len(), 1);
-        assert_eq!(groups2[0].epoch, epoch1 + 1);
-        assert_eq!(db.epoch(), epoch1 + 1, "one bump for the whole class");
-        assert_eq!(db.element(eb0).attrs[0], Value::Int(8), "stage order wins");
-    }
-
-    #[test]
-    fn scheduler_aborts_a_failing_class_and_keeps_earlier_classes() {
-        let (g, mut db) = tiny();
-        let b = g.node_by_name("b").unwrap();
-        let eb0 = db.extent(b)[0];
-        let eb1 = db.extent(b)[1];
-        let mut s = CommitScheduler::new();
-        let mut ok = UpdateBatch::new();
-        ok.write_attr(eb0, 0, Value::Int(5));
-        s.stage(ok);
-        let mut bad = UpdateBatch::new();
-        bad.write_attr(eb1, 9, Value::Int(6)); // attr out of range
-        s.stage(bad);
-        let err = s.commit(&mut db, &g).expect_err("second class fails");
-        assert_eq!(err.0, 1);
-        assert!(matches!(err.1, BatchError::BadAttr { .. }));
-        // the first class committed, the failing one rolled back whole
-        assert_eq!(db.element(eb0).attrs[0], Value::Int(5));
-        assert_eq!(db.element(eb1).attrs[0], Value::Int(1));
-        assert_eq!(db.check_integrity(), Ok(()));
     }
 }

@@ -34,9 +34,9 @@
 //! * [`effect`] — static batch effect analysis (the B001–B004 diagnostic
 //!   family): per-batch effect footprints computed without executing,
 //!   shadow-tracker soundness auditing, pairwise commutativity
-//!   certificates, snapshot-safety checks against plan read footprints,
-//!   and the independence-scheduled [`effect::CommitScheduler`] that
-//!   group-commits mutually independent batches under one epoch bump;
+//!   certificates, and snapshot-safety checks against plan read
+//!   footprints — a checking tool for debug builds, `apply_verified`,
+//!   the lint and the oracle, kept off the release write path;
 //! * [`page`], [`pool`], [`storage`] — the pluggable paged storage layer
 //!   (DESIGN.md §14): the 8 KB-page [`page::StorageBackend`] trait with
 //!   in-memory and on-disk implementations, the clock/second-chance
@@ -68,8 +68,8 @@ pub use database::{
     Snapshot,
 };
 pub use effect::{
-    analyze_batch, certify, BatchDiag, Certificate, CommitPlan, CommitScheduler, EffectAnalysis,
-    EffectKey, Footprint, FootprintSummary, GroupReceipt, ReadFootprint, TouchedSet,
+    analyze_batch, certify, BatchDiag, Certificate, EffectAnalysis, EffectKey, Footprint,
+    FootprintSummary, ReadFootprint, TouchedSet,
 };
 pub use index::{IndexEntry, ValueIndex};
 pub use join::{

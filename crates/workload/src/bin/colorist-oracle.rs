@@ -21,9 +21,9 @@
 //! `--independence-seeds` sweeps the *effect-analysis* oracle: every seed
 //! derives one random pair of batches, certifies them pairwise (B003),
 //! commits certified-independent pairs in both orders (asserting
-//! byte-identical final databases, B002 footprint containment, B004
-//! snapshot-safety of disjoint plans, and scheduler/serial agreement),
-//! and grades certified-conflicting pairs for genuine dynamic witnesses.
+//! byte-identical final databases, B002 footprint containment through
+//! `apply_verified`, and B004 snapshot-safety of disjoint plans), and
+//! grades certified-conflicting pairs for genuine dynamic witnesses.
 //!
 //! `--trace out.json` records a hierarchical span trace of the run (every
 //! design, materialization and query, on every worker thread) in

@@ -51,9 +51,7 @@ use colorist_query::{
     compile, execute, execute_snapshot, optimize, verify_plan, CmpOp, Pattern, PatternBuilder,
     Plan, QueryResult,
 };
-use colorist_store::{
-    analyze_batch, certify, Certificate, CommitScheduler, Database, UpdateBatch, Value,
-};
+use colorist_store::{analyze_batch, certify, Certificate, Database, UpdateBatch, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -1245,9 +1243,7 @@ fn independence_pair(
 ///   whole workload; every pre-state plan whose read footprint
 ///   ([`plan_read_footprint`]) is disjoint from both write footprints
 ///   must return the pre-state answers on the committed database
-///   (B004); and the [`CommitScheduler`] must group the pair into two
-///   singleton classes whose commit lands on the same state as the
-///   serial order;
+///   (B004);
 /// * a pair certified **conflicting** is applied each-alone and in both
 ///   orders to grade the certificate's precision: the conflict is
 ///   *genuine* when both executions touch the witness key, an order
@@ -1369,34 +1365,6 @@ pub fn run_independence_seed(seed: u64, cfg: &OracleConfig) -> IndependenceSeedR
                                 .into(),
                         });
                     }
-                }
-                // the scheduler must see two singleton classes and land
-                // on the serial state (epochs differ: one bump per class
-                // vs per-phase bumps inside a serial apply)
-                let mut sched = CommitScheduler::new();
-                sched.stage(ba.clone());
-                sched.stage(bb.clone());
-                let mut db_sched = db.clone();
-                match sched.commit(&mut db_sched, g) {
-                    Ok(groups) => {
-                        if groups.len() != 2 {
-                            divergences.push(mk(
-                                "scheduler",
-                                format!(
-                                    "independent pair group-committed as {} class(es), expected 2",
-                                    groups.len()
-                                ),
-                            ));
-                        }
-                        if let Err(msg) = db_sched.same_state(&db_ab, false) {
-                            divergences.push(mk(
-                                "scheduler",
-                                format!("group commit diverges from serial: {msg}"),
-                            ));
-                        }
-                    }
-                    Err((i, e)) => divergences
-                        .push(mk("scheduler", format!("group commit rejected stage {i}: {e}"))),
                 }
             }
             Certificate::Conflicting { witness, .. } => {

@@ -1,19 +1,14 @@
-//! Cross-crate integration tests for the PR-8 static batch effect
-//! analysis: B003 commutativity certificates must predict dynamic
-//! commutation on real tpcw materializations under every strategy, B004
+//! Cross-crate integration tests for the static batch effect analysis:
+//! B003 commutativity certificates must predict dynamic commutation on
+//! real tpcw materializations under every strategy, and B004
 //! read-footprint disjointness must predict answer stability of compiled
-//! plans across commits, and the independence-scheduled
-//! [`CommitScheduler`](colorist::store::CommitScheduler) must partition
-//! staged batches into classes that land on the serially-committed state
-//! with one epoch bump per class.
+//! plans across commits.
 
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph, NodeId};
 use colorist::query::{compile, execute, plan_read_footprint, PatternBuilder};
-use colorist::store::{
-    analyze_batch, certify, CommitScheduler, Database, ElementId, UpdateBatch, Value,
-};
+use colorist::store::{analyze_batch, certify, Database, ElementId, UpdateBatch, Value};
 
 fn build(strategy: Strategy) -> (ErGraph, Database) {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
@@ -118,46 +113,5 @@ fn read_footprint_disjointness_predicts_answer_stability() {
         }
         let fd = analyze_batch(&del, &db, &g).footprint;
         assert!(fd.invalidates(&reads).is_some(), "{s}: a delete from the scanned node");
-    }
-}
-
-/// The scheduler partitions three staged batches — two contending for
-/// one cell, one disjoint — into two classes, commits each class under
-/// a single epoch bump, and lands on the same state as committing the
-/// batches serially in stage order.
-#[test]
-fn scheduler_classes_match_serial_state_with_one_bump_per_class() {
-    for s in Strategy::ALL {
-        let (g, db) = build(s);
-        let customer = instance(&db, by_name(&g, "customer"), 0);
-        let item = instance(&db, by_name(&g, "item"), 0);
-        let mut a = UpdateBatch::new();
-        a.write_attr(customer, 1, Value::Int(1));
-        let mut b = UpdateBatch::new();
-        b.write_attr(customer, 1, Value::Int(2));
-        let mut c = UpdateBatch::new();
-        c.write_attr(item, 2, Value::Int(3));
-        let mut sched = CommitScheduler::new();
-        sched.stage(a.clone());
-        sched.stage(b.clone());
-        sched.stage(c.clone());
-        let plan = sched.plan(&db, &g);
-        assert_eq!(plan.classes, vec![vec![0, 1], vec![2]], "{s}");
-
-        let pre_epoch = db.epoch();
-        let mut grouped = db.clone();
-        let receipts = sched.commit(&mut grouped, &g).expect("group commit succeeds");
-        assert_eq!(receipts.len(), 2, "{s}");
-        for (i, r) in receipts.iter().enumerate() {
-            assert_eq!(r.epoch, pre_epoch + 1 + i as u64, "{s}: one bump per class");
-            assert!(r.receipts.iter().all(|br| br.epoch == r.epoch), "{s}");
-        }
-        assert_eq!(grouped.epoch(), pre_epoch + 2, "{s}");
-
-        let mut serial = db.clone();
-        for batch in [&a, &b, &c] {
-            batch.apply(&mut serial, &g).expect("serial applies");
-        }
-        grouped.same_state(&serial, false).unwrap_or_else(|m| panic!("{s}: {m}"));
     }
 }

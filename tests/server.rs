@@ -3,9 +3,10 @@
 //! serially as the oracle reference. Per-read answers, the final
 //! database state (`same_state`), and every deterministic counter must
 //! be identical across 1/2/8 workers, both kernel families, and both
-//! storage backends — and the prepared-plan cache must reach
-//! steady-state hit rate ≥ 0.99 with zero stale serves after a
-//! statistics-epoch bump.
+//! storage backends — epoch included — and the prepared-plan cache must
+//! reach steady-state hit rate ≥ 0.99 with zero stale serves after a
+//! statistics-epoch bump. A page store the server flushed to reloads at
+//! the epoch the server published.
 
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
@@ -165,7 +166,7 @@ fn deterministic(m: Metrics) -> Metrics {
 
 /// The tentpole invariant: for every strategy, kernel family, and
 /// storage backend, the concurrent schedule lands on the serial oracle's
-/// answers and final state for 1, 2, and 8 workers — and every
+/// answers and final state (epoch included) for 1, 2, and 8 workers — and every
 /// deterministic counter (plan-cache families included) is identical
 /// across the worker counts.
 #[test]
@@ -192,7 +193,7 @@ fn torture_matches_serial_oracle_for_any_worker_count() {
                         server_replay(&g, base.clone(), &patterns, &plan, workers);
                     assert_eq!(answers, oracle_answers, "{ctx}: answers diverge from serial");
                     final_db
-                        .same_state(&oracle_db, false)
+                        .same_state(&oracle_db, true)
                         .unwrap_or_else(|m| panic!("{ctx}: state diverges from serial: {m}"));
                     counter_sets.push((ctx, deterministic(metrics)));
                 }
@@ -243,4 +244,40 @@ fn plan_cache_steady_state_hit_rate_with_zero_stale_serves() {
     let m = server.metrics();
     assert_eq!((m.plan_cache_misses, m.plan_cache_hits), (4, 300), "zero stale serves");
     server.shutdown();
+}
+
+/// The page store and the published read view agree on the epoch: after
+/// one attribute write and one item delete through the server, a flush
+/// and a shutdown, the database reloaded from the backend sits at
+/// `published_epoch()` and holds the same data, on every strategy.
+#[test]
+fn page_store_reloads_at_the_published_epoch() {
+    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
+    let instance_data = generate(&g, &ScaleProfile::uniform(&g, 6), 11);
+    for s in Strategy::ALL {
+        let schema = design(&g, s).expect("tpcw designs");
+        let mut db = materialize(&g, &schema, &instance_data);
+        let pages = Arc::new(MemPages::new());
+        db.attach_paged(pages.clone(), PoolConfig::default()).expect("paged backend attaches");
+        let customer = instance(&db, by_name(&g, "customer"), 0);
+        let item = instance(&db, by_name(&g, "item"), 5);
+        let server = Server::start(db, &g, &ServerConfig::default());
+        let c = server.client();
+        let mut write = UpdateBatch::new();
+        write.write_attr(customer, 1, Value::Int(4242));
+        let mut delete = UpdateBatch::new();
+        delete.delete(item);
+        let pending = [c.write(write), c.write(delete)];
+        let flush = c.flush().wait().expect("flush commits");
+        for p in pending {
+            p.wait().expect("write commits");
+        }
+        let published = server.published_epoch();
+        assert_eq!(flush.epoch, published, "{s}");
+        let final_db = server.shutdown();
+        let reloaded = Database::load_from_backend(pages, schema, PoolConfig::default())
+            .expect("page store reloads");
+        assert_eq!(reloaded.epoch(), published, "{s}: reloaded epoch");
+        reloaded.same_state(&final_db, false).unwrap_or_else(|m| panic!("{s}: {m}"));
+    }
 }
